@@ -69,7 +69,8 @@ harvestMemoStats(ThreadPlatformSlot &slot)
 
 ThreadPlatformSlot &
 threadSlot(uint64_t run_id, const CampaignSpec &spec,
-           size_t config_idx, bool memoize)
+           size_t config_idx, bool memoize,
+           const ParallelRunner &runner)
 {
     thread_local ThreadPlatformSlot slot;
     if (!slot.platform || slot.runId != run_id ||
@@ -83,7 +84,7 @@ threadSlot(uint64_t run_id, const CampaignSpec &spec,
         {
             SpanScope span("campaign.platform_build", "campaign");
             slot.platform = std::make_unique<Platform>(
-                spec.platforms[config_idx]);
+                spec.platforms[config_idx], runner);
         }
         metricAdd(Metric::CampaignPlatformBuilds);
         slot.memo =
@@ -332,7 +333,7 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                     const TraceSpec &traceSpec =
                         spec.traces[traceIdx];
                     ThreadPlatformSlot &slot =
-                        threadSlot(runId, spec, p, _memoize);
+                        threadSlot(runId, spec, p, _memoize, _runner);
                     lastSlot = &slot;
                     const ResolvedTrace &rt =
                         resolvedTrace(runId, spec, traceIdx);

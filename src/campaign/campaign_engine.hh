@@ -7,9 +7,13 @@
  * (ParallelRunner::forEachChunked). Each worker lazily constructs a
  * private Platform for the config it is currently simulating —
  * Platform construction (ETEE characterization) is the expensive
- * step, and the monotonic range claims mean each worker sees the
- * platform axis in non-decreasing order, so it rebuilds at most once
- * per platform config per campaign. Trace specs resolve lazily too:
+ * step. It runs on the engine's runner, never on the global pool,
+ * so a serial engine does all of its work on one thread (a build on
+ * a pool worker falls back to an inline serial loop, see
+ * ParallelRunner::forEach). The monotonic range claims mean each
+ * worker sees the platform axis in non-decreasing order, so it
+ * rebuilds at most once per platform config per campaign. Trace
+ * specs resolve lazily too:
  * each worker materializes a TraceSpec the first time one of its
  * cells needs it and caches the PhaseTrace — together with its
  * batch-evaluation PhaseSoA form (workload/phase_soa.hh) — for the

@@ -55,12 +55,13 @@ dynamicModes(const FleetCohort &cohort)
 }
 
 CohortProfile
-buildProfile(const FleetCohort &cohort, Time tick)
+buildProfile(const FleetCohort &cohort, Time tick,
+             const ParallelRunner &runner)
 {
     SpanScope span("fleet.profile", "fleet");
     CohortProfile profile;
 
-    Platform platform(cohort.platform);
+    Platform platform(cohort.platform, runner);
     EteeMemo memo(platform.operatingPoints(), platform.config().tdp);
     PhaseTrace trace = cohort.trace.resolve();
     PhaseSoA soa(trace);
@@ -355,7 +356,7 @@ FleetEngine::run(const FleetSpec &spec,
     // simulator runs exist, one per cohort regardless of population.
     std::vector<CohortProfile> profiles(spec.cohorts.size());
     _runner.forEach(spec.cohorts.size(), [&](size_t c) {
-        profiles[c] = buildProfile(spec.cohorts[c], spec.tick);
+        profiles[c] = buildProfile(spec.cohorts[c], spec.tick, _runner);
     });
 
     size_t nSessions = static_cast<size_t>(spec.sessionCount());

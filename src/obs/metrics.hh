@@ -72,7 +72,14 @@ enum class Metric : size_t
     SimRunsOracle,          ///< counter: oracle runs
     RunnerJobs,             ///< counter: ParallelRunner jobs
     RunnerChunksClaimed,    ///< counter: chunked range claims
-    RunnerThreads,          ///< gauge: pool width of the last run
+    /**
+     * gauge: width of the runner that ran the campaign's or fleet's
+     * work. Every ParallelRunner job stamps it, and the engines run
+     * all of their work (Platform builds included) on their own
+     * runner, so a serial engine reads 1 whatever the global pool's
+     * width.
+     */
+    RunnerThreads,
 
     Count, ///< number of well-known metrics (not a metric)
 };

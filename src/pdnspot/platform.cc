@@ -5,7 +5,8 @@
 namespace pdnspot
 {
 
-Platform::Platform(PlatformConfig config)
+Platform::Platform(PlatformConfig config,
+                   const ParallelRunner &runner)
     : _config(config),
       _opm(),
       _perf(_opm),
@@ -20,7 +21,8 @@ Platform::Platform(PlatformConfig config)
     if (!_flexwatts)
         panic("Platform: FlexWatts factory returned the wrong type");
 
-    _eteeTable = std::make_unique<EteeTable>(*_flexwatts, _opm);
+    _eteeTable = std::make_unique<EteeTable>(
+        *_flexwatts, _opm, EteeTable::GridSpec{}, runner);
     _predictor = std::make_unique<ModePredictor>(
         *_eteeTable, config.predictorHysteresis);
 }

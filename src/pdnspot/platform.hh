@@ -72,7 +72,16 @@ PlatformConfig platformPresetByName(const std::string &name);
 class Platform
 {
   public:
-    explicit Platform(PlatformConfig config = {});
+    /**
+     * Build every model for `config`. The FlexWatts ETEE firmware
+     * tables are characterized across `runner` (see EteeTable); pass
+     * the runner that is doing the caller's work, so a serial caller
+     * characterizes serially. The tables do not depend on the
+     * runner's width.
+     */
+    explicit Platform(PlatformConfig config = {},
+                      const ParallelRunner &runner =
+                          ParallelRunner::global());
 
     Platform(const Platform &) = delete;
     Platform &operator=(const Platform &) = delete;

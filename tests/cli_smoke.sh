@@ -195,6 +195,11 @@ EOF
         || fail "report lacks the pdnspot-report-1 schema stamp"
     grep -qF '"content_hash": "fnv1a64:' "$tmp/r.json" \
         || fail "report lacks the spec content hash"
+    # The gauge reads the --threads width, not the global pool's.
+    gauge=$(grep -A2 '"name": "runner.threads"' "$tmp/r.json" \
+        | grep -F '"value":' | tr -d ' ,')
+    [ "$gauge" = '"value":2' ] \
+        || fail "runner.threads gauge reads '$gauge', want 2"
     begins=$(grep -c '"ph": "B"' "$tmp/t.json")
     ends=$(grep -c '"ph": "E"' "$tmp/t.json")
     if [ "$begins" -eq 0 ] || [ "$begins" -ne "$ends" ]; then

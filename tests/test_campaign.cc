@@ -610,6 +610,29 @@ TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
     EXPECT_EQ(unmemoized.memoHitRate(), 0.0);
 }
 
+TEST(CampaignEngineTest, RunnerThreadsGaugeReadsTheEngineRunnerWidth)
+{
+    // Platform builds (ETEE characterization) must run on the
+    // engine's runner, not on ParallelRunner::global(). Two widths
+    // make this independent of the host: the global pool cannot
+    // match both 1 and 3, so a stray global-pool job shows up as a
+    // wrong gauge in at least one of the runs.
+    CampaignSpec spec = smallSpec(SimMode::Static);
+    for (unsigned threads : {1u, 3u}) {
+        MetricsRegistry registry;
+        {
+            MetricsInstallation install(registry);
+            ParallelRunner runner(threads);
+            CampaignEngine(runner).run(spec);
+        }
+        MetricSnapshot gauge = registry.snapshot()[static_cast<size_t>(
+            Metric::RunnerThreads)];
+        EXPECT_EQ(gauge.value, static_cast<double>(threads))
+            << "global pool width "
+            << ParallelRunner::global().threadCount();
+    }
+}
+
 TEST(CampaignResultTest, SummaryAggregatesMatchManualTotals)
 {
     CampaignSpec spec = smallSpec(SimMode::Pmu);
