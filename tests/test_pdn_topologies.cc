@@ -3,6 +3,7 @@
  * Unit and property tests across the five PDN topologies.
  */
 
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -278,14 +279,28 @@ TEST_F(PdnTopologies, LdoInputRailCarriesMoreCurrentThanIvrs)
               1.3 * inAmps(ivr_rails[0].iccMax));
 }
 
-/** Property sweep: invariants hold over a broad operating grid. */
+/**
+ * Property sweep: invariants hold over a broad operating grid.
+ *
+ * gtest prints a parameter that has no PrintTo as a byte dump, and
+ * gtest_discover_tests puts that dump into each ctest name. The
+ * padding is spelled out as zeroed members so the dump, and with it
+ * the test names, is the same on every run; implicit padding would
+ * carry whatever the heap held there.
+ */
 struct GridParam
 {
     PdnKind kind;
+    std::uint32_t pad0 = 0;
     double tdp;
     WorkloadType type;
+    std::uint32_t pad1 = 0;
     double ar;
 };
+static_assert(sizeof(GridParam) ==
+                  sizeof(PdnKind) + sizeof(WorkloadType) +
+                      2 * sizeof(std::uint32_t) + 2 * sizeof(double),
+              "GridParam must have no implicit padding");
 
 class PdnGrid : public ::testing::TestWithParam<GridParam>
 {
@@ -326,7 +341,10 @@ gridParams()
                  {WorkloadType::SingleThread, WorkloadType::MultiThread,
                   WorkloadType::Graphics})
                 for (double ar : {0.4, 0.56, 0.8})
-                    params.push_back({kind, tdp, type, ar});
+                    params.push_back({.kind = kind,
+                                      .tdp = tdp,
+                                      .type = type,
+                                      .ar = ar});
     return params;
 }
 
