@@ -41,9 +41,8 @@ smallSpec(SimMode mode)
 }
 
 /**
- * The memo cache's target shape: battery-profile frame traces repeat
- * the same few operating points hundreds of times, so nearly every
- * evaluation after the first frame is a memo hit.
+ * Battery-profile frame traces: the same few operating points
+ * repeated hundreds of times, the shape most campaign cells take.
  */
 CampaignSpec
 repeatedStateSpec()
@@ -75,21 +74,7 @@ printFigure()
                   std::to_string(s.modeSwitches)});
     }
     t.print(std::cout);
-
-    // The memo-cache acceptance check: identical numbers either way
-    // (the campaignMemo benchmarks then show the runtime gap).
-    CampaignSpec repeated = repeatedStateSpec();
-    ParallelRunner serial(1);
-    CampaignResult with =
-        CampaignEngine(serial).memoize(true).run(repeated);
-    CampaignResult without =
-        CampaignEngine(serial).memoize(false).run(repeated);
-    std::cout << "\nEteeMemo on repeated-state campaign ("
-              << repeated.cellCount() << " cells, "
-              << repeated.traces[0].resolve().phases().size()
-              << " phases/trace): results "
-              << (with == without ? "bit-identical" : "MISMATCH")
-              << " with memo on/off\n\n";
+    std::cout << "\n";
 }
 
 void
@@ -127,31 +112,10 @@ campaignMode(benchmark::State &state)
     }
 }
 
-void
-campaignMemo(benchmark::State &state)
-{
-    ParallelRunner serial(1);
-    CampaignEngine engine(serial);
-    engine.memoize(state.range(0) != 0);
-    CampaignSpec spec = repeatedStateSpec();
-    CampaignRunStats last;
-    for (auto _ : state) {
-        CampaignResult r = engine.run(spec);
-        benchmark::DoNotOptimize(r.cells.data());
-    }
-    // One stats pass outside the timed loop: the hit rate is a
-    // deterministic property of (spec, memoize), not a timing.
-    DiscardSink sink;
-    engine.run(spec, sink, &last);
-    state.counters["memo_hit_rate"] = last.memoHitRate();
-    state.counters["threads"] = 1;
-}
-
 /**
  * The trajectory workhorse: streamed campaign execution measured in
- * cells/sec and ns/phase, with the memo hit rate alongside — the
- * three metrics scripts/bench.sh snapshots into BENCH_<n>.json and
- * tools/bench_diff gates on.
+ * cells/sec and ns/phase — the metrics scripts/bench.sh snapshots
+ * into BENCH_<n>.json and tools/bench_diff gates on.
  */
 void
 campaignThroughput(benchmark::State &state)
@@ -164,7 +128,6 @@ campaignThroughput(benchmark::State &state)
 
     uint64_t cells = 0;
     uint64_t phases = 0;
-    CampaignRunStats last;
     auto start = std::chrono::steady_clock::now();
     for (auto _ : state) {
         DiscardSink sink;
@@ -172,7 +135,6 @@ campaignThroughput(benchmark::State &state)
         engine.run(spec, sink, 0, cellCount, &stats);
         cells += stats.cells;
         phases += stats.phases;
-        last = stats;
     }
     double ns = std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - start)
@@ -181,17 +143,11 @@ campaignThroughput(benchmark::State &state)
         ns > 0.0 ? static_cast<double>(cells) / (ns * 1e-9) : 0.0;
     state.counters["ns_per_phase"] =
         phases ? ns / static_cast<double>(phases) : 0.0;
-    state.counters["memo_hit_rate"] = last.memoHitRate();
     state.counters["threads"] = nthreads;
 }
 
 BENCHMARK(campaignSerial)->Unit(benchmark::kMillisecond);
 BENCHMARK(campaignPooled)->Unit(benchmark::kMillisecond);
-BENCHMARK(campaignMemo)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"memo"})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(campaignMode)
     ->Arg(static_cast<int>(SimMode::Static))
     ->Arg(static_cast<int>(SimMode::Pmu))

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full verification pass: configure, build with warnings-as-errors,
-# run every registered test in parallel, snapshot + diff the
-# benchmark trajectory (scripts/bench.sh), then repeat the test
-# suite under AddressSanitizer + UBSan (the threaded campaign/sweep
-# paths are sanitizer-gated). This is the tier-1 gate (ROADMAP.md)
-# and is ready to drop into CI as-is.
+# run every registered test in parallel, run the end-to-end
+# benchmark's self-test (perfbench/run.py --selftest), snapshot +
+# diff the benchmark trajectory (scripts/bench.sh), then repeat the
+# test suite under AddressSanitizer + UBSan (the threaded
+# campaign/sweep paths are sanitizer-gated). This is the tier-1
+# gate (ROADMAP.md) and is ready to drop into CI as-is.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check; the
 # sanitizer pass uses <build-dir>-asan)
@@ -45,16 +46,12 @@ echo "check.sh: pdnspot_campaign spec-file smoke green"
 # Trace-source smoke: the measured-workload spec exercises all four
 # TraceSpec kinds (library, generator, battery profile, file-backed
 # CSV). Lazy per-worker resolution must be byte-identical serial vs
-# 8 threads and with the memo off.
+# 8 threads.
 PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
     examples/specs/measured_campaign.json -o "$smoke_dir/meas1.csv"
 PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
     examples/specs/measured_campaign.json -o "$smoke_dir/meas8.csv"
-PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/measured_campaign.json --no-memo \
-    -o "$smoke_dir/measnm.csv"
 cmp "$smoke_dir/meas1.csv" "$smoke_dir/meas8.csv"
-cmp "$smoke_dir/meas1.csv" "$smoke_dir/measnm.csv"
 
 # Sharding smoke: a 2-way sharded run concatenates to exactly the
 # unsharded CSV (shard 1 carries the header, shard 2 does not).
@@ -177,13 +174,18 @@ grep -q "fleet: 1000000 sessions" "$smoke_dir/million.txt"
 echo "check.sh: fleet smoke green" \
     "(summary + aggregates in $build_dir)"
 
+# End-to-end benchmark self-test: every perfbench workload at reduced
+# size with all of its output checks, plus 1-vs-N thread byte
+# identity. It builds its own Release tree (.bench_build) from src/.
+python3 perfbench/run.py --selftest
+echo "check.sh: perfbench self-test green"
+
 # Benchmark trajectory: run the campaign/sweep benches in --json
 # mode, merge the next BENCH_<n>.json snapshot at the repo root, and
-# diff it against the previous one — a >20% regression on cells/sec,
-# ns/phase or the memo hit rate fails this script like a test
-# failure (thresholds: PDNSPOT_BENCH_WARN_PCT/PDNSPOT_BENCH_FAIL_PCT;
-# first run just records the baseline). No-op on hosts without
-# google-benchmark.
+# diff it against the previous one — a >20% regression on cells/sec
+# or ns/phase fails this script like a test failure (thresholds:
+# PDNSPOT_BENCH_WARN_PCT/PDNSPOT_BENCH_FAIL_PCT; first run just
+# records the baseline). No-op on hosts without google-benchmark.
 scripts/bench.sh "$build_dir"
 echo "check.sh: bench trajectory green"
 

@@ -13,7 +13,6 @@
 #include "obs/metrics.hh"
 #include "obs/span_trace.hh"
 #include "pmu/pmu.hh"
-#include "sim/etee_memo.hh"
 #include "sim/interval_simulator.hh"
 
 namespace pdnspot
@@ -23,81 +22,36 @@ namespace
 {
 
 /**
- * One worker thread's current Platform plus its evaluation memo.
- * Campaign runs are stamped with a process-unique id so a slot left
- * over from an earlier campaign (worker threads outlive runs) is
- * never mistaken for this run's platform. At most one Platform is
- * retained per worker; it is replaced on the next rebuild and
- * reclaimed at thread exit. The memo shares the slot's lifetime: it
- * is only ever valid for the slot's (platform, run) pair.
- *
- * The seen* cursors track how much of the memo's counters has been
- * banked into the metrics registry (deltas flush at the end of every
- * chunk and before a same-run platform rebuild), so each counter
- * increment is attributed exactly once.
+ * One worker thread's current Platform. Campaign runs are stamped
+ * with a process-unique id so a slot left over from an earlier
+ * campaign (worker threads outlive runs) is never mistaken for this
+ * run's platform. At most one Platform is retained per worker; it is
+ * replaced on the next rebuild and reclaimed at thread exit.
  */
 struct ThreadPlatformSlot
 {
     uint64_t runId = 0;
     size_t configIdx = 0;
     std::unique_ptr<Platform> platform;
-    std::unique_ptr<EteeMemo> memo;
-    uint64_t seenProbes = 0;
-    uint64_t seenHits = 0;
-    uint64_t seenBuilds = 0;
-    uint64_t seenEvals = 0;
 };
 
-/** Bank the slot memo's counter growth since the last harvest. */
-void
-harvestMemoStats(ThreadPlatformSlot &slot)
-{
-    if (!slot.memo)
-        return;
-    const EteeMemo &memo = *slot.memo;
-    metricAdd(Metric::MemoProbes, memo.probes() - slot.seenProbes);
-    metricAdd(Metric::MemoHits, memo.hits() - slot.seenHits);
-    metricAdd(Metric::MemoStateBuilds,
-              memo.stateBuilds() - slot.seenBuilds);
-    metricAdd(Metric::MemoPdnEvaluations,
-              memo.pdnEvaluations() - slot.seenEvals);
-    slot.seenProbes = memo.probes();
-    slot.seenHits = memo.hits();
-    slot.seenBuilds = memo.stateBuilds();
-    slot.seenEvals = memo.pdnEvaluations();
-}
-
-ThreadPlatformSlot &
+const Platform &
 threadSlot(uint64_t run_id, const CampaignSpec &spec,
-           size_t config_idx, bool memoize,
-           const ParallelRunner &runner)
+           size_t config_idx, const ParallelRunner &runner)
 {
     thread_local ThreadPlatformSlot slot;
     if (!slot.platform || slot.runId != run_id ||
         slot.configIdx != config_idx) {
-        // A same-run platform change retires this memo before the
-        // chunk-end harvest; bank its remaining deltas first. Slots
-        // left over from *other* runs were fully harvested at their
-        // last chunk end and must not leak into this run's counters.
-        if (slot.runId == run_id)
-            harvestMemoStats(slot);
         {
             SpanScope span("campaign.platform_build", "campaign");
             slot.platform = std::make_unique<Platform>(
                 spec.platforms[config_idx], runner);
         }
         metricAdd(Metric::CampaignPlatformBuilds);
-        slot.memo =
-            memoize ? std::make_unique<EteeMemo>(
-                          slot.platform->operatingPoints(),
-                          slot.platform->config().tdp)
-                    : nullptr;
         slot.runId = run_id;
         slot.configIdx = config_idx;
-        slot.seenProbes = slot.seenHits = 0;
-        slot.seenBuilds = slot.seenEvals = 0;
     }
-    return slot;
+    return *slot.platform;
 }
 
 /**
@@ -149,25 +103,24 @@ resolvedTrace(uint64_t run_id, const CampaignSpec &spec,
 SimResult
 simulateCell(const Platform &platform, const ResolvedTrace &rt,
              PdnKind kind, const CampaignSpec &spec, Time tick,
-             EteeMemo *memo, SignalProbe *probe)
+             SignalProbe *probe)
 {
     IntervalSimulator sim(platform.operatingPoints(),
                           platform.config().tdp, tick);
     if (kind == PdnKind::FlexWatts) {
         if (spec.mode == SimMode::Oracle)
-            return sim.runOracle(rt.soa, platform.flexWatts(), memo,
-                                 probe);
+            return sim.runOracle(rt.soa, platform.flexWatts(), probe);
         if (spec.mode == SimMode::Pmu) {
             PmuConfig cfg;
             cfg.tdp = platform.config().tdp;
             Pmu pmu(cfg, platform.predictor());
             return sim.run(rt.trace, platform.flexWatts(), pmu,
-                           memo, probe);
+                           probe);
         }
     }
     // Non-hybrid PDNs have no mode logic: every mode simulates them
     // statically — through the batched SoA path.
-    return sim.run(rt.soa, platform.pdn(kind), memo, probe);
+    return sim.run(rt.soa, platform.pdn(kind), probe);
 }
 
 /** Collects streamed cells back into an in-memory CampaignResult. */
@@ -196,24 +149,12 @@ campaignStatsSnapshot(const MetricsRegistry &registry)
     CampaignRunStats s;
     s.cells = registry.counterValue(Metric::CampaignCells);
     s.phases = registry.counterValue(Metric::CampaignPhases);
-    s.memoProbes = registry.counterValue(Metric::MemoProbes);
-    s.memoHits = registry.counterValue(Metric::MemoHits);
-    s.stateBuilds = registry.counterValue(Metric::MemoStateBuilds);
-    s.pdnEvaluations =
-        registry.counterValue(Metric::MemoPdnEvaluations);
     return s;
 }
 
 CampaignEngine::CampaignEngine(const ParallelRunner &runner)
     : _runner(runner)
 {}
-
-CampaignEngine &
-CampaignEngine::memoize(bool on)
-{
-    _memoize = on;
-    return *this;
-}
 
 CampaignResult
 CampaignEngine::run(const CampaignSpec &spec) const
@@ -318,7 +259,6 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                 MetricsRegistry::current() != nullptr;
             std::vector<CampaignCellResult> shard;
             shard.reserve(end - begin);
-            ThreadPlatformSlot *lastSlot = nullptr;
             uint64_t chunkPhases = 0;
             try {
                 for (size_t t = begin; t < end; ++t) {
@@ -332,9 +272,8 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                     size_t traceIdx = rest / nPdns;
                     const TraceSpec &traceSpec =
                         spec.traces[traceIdx];
-                    ThreadPlatformSlot &slot =
-                        threadSlot(runId, spec, p, _memoize, _runner);
-                    lastSlot = &slot;
+                    const Platform &platform =
+                        threadSlot(runId, spec, p, _runner);
                     const ResolvedTrace &rt =
                         resolvedTrace(runId, spec, traceIdx);
                     CampaignCellResult c;
@@ -359,9 +298,9 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                         }
                     }
                     c.sim = simulateCell(
-                        *slot.platform, rt, c.pdn, spec,
+                        platform, rt, c.pdn, spec,
                         traceSpec.tickOverride().value_or(spec.tick),
-                        slot.memo.get(), probe.get());
+                        probe.get());
                     if (probe) {
                         Waveform w = probe->take();
                         w.trace = c.trace;
@@ -386,8 +325,6 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                 metricAdd(Metric::CampaignCells, end - begin);
                 metricAdd(Metric::CampaignChunks);
                 metricAdd(Metric::CampaignPhases, chunkPhases);
-                if (lastSlot)
-                    harvestMemoStats(*lastSlot);
                 // The chunk boundary is the merge point: bank this
                 // thread's buffered deltas so a snapshot taken
                 // between chunks is at most one chunk stale.
@@ -438,12 +375,6 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
         CampaignRunStats total = campaignStatsSnapshot(*registry);
         stats->cells = total.cells - baseline.cells;
         stats->phases = total.phases - baseline.phases;
-        stats->memoProbes = total.memoProbes - baseline.memoProbes;
-        stats->memoHits = total.memoHits - baseline.memoHits;
-        stats->stateBuilds =
-            total.stateBuilds - baseline.stateBuilds;
-        stats->pdnEvaluations =
-            total.pdnEvaluations - baseline.pdnEvaluations;
     }
 }
 

@@ -42,10 +42,8 @@ namespace pdnspot
 /**
  * Aggregate execution statistics of one CampaignEngine run, summed
  * across worker threads: the denominator metrics of the benchmark
- * trajectory (cells and phases simulated) and the EteeMemo counters
- * that make memo effectiveness a tracked metric rather than
- * folklore. Purely observational — filling them never perturbs
- * results. Memo counters stay zero when memoization is off.
+ * trajectory (cells and phases simulated). Purely observational —
+ * filling them never perturbs results.
  *
  * Since the observability layer landed this is a thin view over the
  * well-known campaign metrics (obs/metrics.hh): the engine reports
@@ -57,23 +55,6 @@ struct CampaignRunStats
 {
     size_t cells = 0;     ///< cells simulated by this run
     uint64_t phases = 0;  ///< trace phases stepped, over all cells
-
-    uint64_t memoProbes = 0; ///< memo lookups (hits + misses)
-    uint64_t memoHits = 0;
-    uint64_t stateBuilds = 0;     ///< operating-point builds (misses)
-    uint64_t pdnEvaluations = 0;  ///< PDN evaluations (misses)
-
-    uint64_t memoMisses() const { return memoProbes - memoHits; }
-
-    /** Fraction of lookups served from the memo; 0 with no probes. */
-    double
-    memoHitRate() const
-    {
-        if (memoProbes == 0)
-            return 0.0;
-        return static_cast<double>(memoHits) /
-               static_cast<double>(memoProbes);
-    }
 };
 
 /**
@@ -85,7 +66,7 @@ struct CampaignRunStats
 CampaignRunStats campaignStatsSnapshot(
     const MetricsRegistry &registry);
 
-/** Runs campaigns; stateless apart from the pool binding + knobs. */
+/** Runs campaigns; stateless apart from the pool binding. */
 class CampaignEngine
 {
   public:
@@ -133,19 +114,8 @@ class CampaignEngine
              size_t firstCell, size_t endCell,
              CampaignRunStats *stats = nullptr) const;
 
-    /**
-     * Enable/disable the per-worker (platform, phase, PDN)
-     * evaluation memo (EteeMemo, on by default). Purely a
-     * performance knob: results are bit-identical either way; off
-     * exists for benchmarking and debugging.
-     */
-    CampaignEngine &memoize(bool on);
-
-    bool memoize() const { return _memoize; }
-
   private:
     const ParallelRunner &_runner;
-    bool _memoize = true;
 };
 
 } // namespace pdnspot

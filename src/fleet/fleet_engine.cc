@@ -11,7 +11,6 @@
 #include "obs/span_trace.hh"
 #include "pmu/pmu.hh"
 #include "sim/battery_model.hh"
-#include "sim/etee_memo.hh"
 #include "sim/interval_simulator.hh"
 #include "workload/phase_soa.hh"
 
@@ -62,7 +61,9 @@ buildProfile(const FleetCohort &cohort, Time tick,
     CohortProfile profile;
 
     Platform platform(cohort.platform, runner);
-    EteeMemo memo(platform.operatingPoints(), platform.config().tdp);
+    IntervalSimulator sim(platform.operatingPoints(),
+                          platform.config().tdp,
+                          cohort.trace.tickOverride().value_or(tick));
     PhaseTrace trace = cohort.trace.resolve();
     PhaseSoA soa(trace);
     size_t phases = soa.phaseCount();
@@ -79,38 +80,27 @@ buildProfile(const FleetCohort &cohort, Time tick,
         profile.durS[p] = inSeconds(soa.durations()[p]);
 
     if (!dynamicModes(cohort)) {
-        // Static profile: one memoized PDN evaluation per unique
-        // state, fanned out over the per-phase index (the SoA
-        // discipline — population size never multiplies this work).
-        std::vector<double> uniqueW(soa.uniqueCount());
-        for (size_t u = 0; u < soa.uniqueCount(); ++u)
-            uniqueW[u] = inWatts(
-                memo.evaluate(platform.pdn(cohort.pdn),
-                              soa.uniquePhases()[u])
-                    .inputPower);
+        // Static profile: one PDN evaluation per unique state,
+        // fanned out over the per-phase index (the SoA discipline —
+        // population size never multiplies this work).
+        std::vector<EteeResult> unique =
+            sim.evaluateUnique(soa, platform.pdn(cohort.pdn));
         for (size_t p = 0; p < phases; ++p)
-            profile.powerW[p] = uniqueW[soa.uniqueIndex()[p]];
+            profile.powerW[p] =
+                inWatts(unique[soa.uniqueIndex()[p]].inputPower);
     } else if (cohort.mode == SimMode::Oracle) {
-        // Oracle profile: best mode + pinned evaluation per unique
+        // Oracle profile: best mode + its evaluation per unique
         // state; switches fall wherever consecutive phases (cyclic)
         // want different modes, instant and free (runOracle
         // semantics).
-        std::vector<double> uniqueW(soa.uniqueCount());
-        std::vector<HybridMode> uniqueMode(soa.uniqueCount());
-        for (size_t u = 0; u < soa.uniqueCount(); ++u) {
-            const TracePhase &phase = soa.uniquePhases()[u];
-            uniqueMode[u] = memo.bestMode(platform.flexWatts(),
-                                          phase);
-            uniqueW[u] = inWatts(memo.evaluate(platform.flexWatts(),
-                                               phase, uniqueMode[u])
-                                     .inputPower);
-        }
+        std::vector<ModeEvaluation> best =
+            sim.evaluateUniqueBest(soa, platform.flexWatts());
         for (size_t p = 0; p < phases; ++p) {
             size_t u = soa.uniqueIndex()[p];
-            profile.powerW[p] = uniqueW[u];
+            profile.powerW[p] = inWatts(best[u].etee.inputPower);
             size_t prev =
                 soa.uniqueIndex()[p == 0 ? phases - 1 : p - 1];
-            if (phases > 1 && uniqueMode[u] != uniqueMode[prev])
+            if (phases > 1 && best[u].mode != best[prev].mode)
                 profile.switchesIn[p] = 1;
         }
     } else {
@@ -121,14 +111,10 @@ buildProfile(const FleetCohort &cohort, Time tick,
         ProbeSpec ps;
         ps.signals = {ProbeSignal::SupplyPowerW, ProbeSignal::Mode};
         SignalProbe probe(ps, platform.config().tdp);
-        IntervalSimulator sim(platform.operatingPoints(),
-                              platform.config().tdp,
-                              cohort.trace.tickOverride().value_or(
-                                  tick));
         PmuConfig cfg;
         cfg.tdp = platform.config().tdp;
         Pmu pmu(cfg, platform.predictor());
-        sim.run(trace, platform.flexWatts(), pmu, &memo, &probe);
+        sim.run(trace, platform.flexWatts(), pmu, &probe);
         Waveform w = probe.take();
 
         size_t powerCol = 0, modeCol = 0;

@@ -8,11 +8,12 @@
  * runs once per *cohort*, not per session: each cohort's trace is
  * resolved into PhaseSoA form and profiled into dense per-phase
  * supply-power / mode-switch arrays through the existing simulator
- * stack (EteeMemo-memoized static/oracle evaluation, or one probed
- * PMU run whose waveform the cohort replays). Per-session mutable
- * state is packed structure-of-arrays — phase cursor, intra-phase
- * residue, battery charge, accumulated energy, death time — a few
- * tens of bytes per session, no per-session Platform objects.
+ * stack (one static/oracle evaluation per unique state, or one
+ * probed PMU run whose waveform the cohort replays). Per-session
+ * mutable state is packed structure-of-arrays — phase cursor,
+ * intra-phase residue, battery charge, accumulated energy, death
+ * time — a few tens of bytes per session, no per-session Platform
+ * objects.
  *
  * Parallelism follows the campaign discipline: sessions are chunked
  * with a *fixed* grain (thread-count independent), per-chunk partial

@@ -64,20 +64,27 @@ FlexWattsPdn::evaluate(const PlatformState &state, HybridMode mode) const
     return r;
 }
 
-HybridMode
-FlexWattsPdn::bestMode(const PlatformState &state) const
+ModeEvaluation
+FlexWattsPdn::evaluateBest(const PlatformState &state) const
 {
     EteeResult ivr = evaluate(state, HybridMode::IvrMode);
     EteeResult ldo = evaluate(state, HybridMode::LdoMode);
     // Tie-break toward IVR-Mode, mirroring Algorithm 1's ">=".
-    return ivr.etee() >= ldo.etee() ? HybridMode::IvrMode
-                                    : HybridMode::LdoMode;
+    if (ivr.etee() >= ldo.etee())
+        return {HybridMode::IvrMode, ivr};
+    return {HybridMode::LdoMode, ldo};
+}
+
+HybridMode
+FlexWattsPdn::bestMode(const PlatformState &state) const
+{
+    return evaluateBest(state).mode;
 }
 
 EteeResult
 FlexWattsPdn::evaluate(const PlatformState &state) const
 {
-    return evaluate(state, bestMode(state));
+    return evaluateBest(state).etee;
 }
 
 std::vector<OffChipRail>

@@ -43,6 +43,13 @@ struct FlexWattsParams
     Resistance rllIo = milliohms(4.0);
 };
 
+/** The oracle-best hybrid mode together with its evaluation. */
+struct ModeEvaluation
+{
+    HybridMode mode = HybridMode::IvrMode;
+    EteeResult etee;
+};
+
 /** The hybrid adaptive PDN. */
 class FlexWattsPdn : public PdnModel
 {
@@ -63,6 +70,13 @@ class FlexWattsPdn : public PdnModel
     /** Evaluation pinned to one mode. */
     EteeResult evaluate(const PlatformState &state,
                         HybridMode mode) const;
+
+    /**
+     * The oracle-best mode at this operating point and its pinned
+     * evaluation, from one evaluation per mode. Ties go to IVR-Mode,
+     * mirroring Algorithm 1's ">=".
+     */
+    ModeEvaluation evaluateBest(const PlatformState &state) const;
 
     /** The oracle-best mode at this operating point. */
     HybridMode bestMode(const PlatformState &state) const;

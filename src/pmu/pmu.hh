@@ -34,7 +34,11 @@ struct PmuConfig
     HybridMode initialMode = HybridMode::IvrMode;
 };
 
-/** The FlexWatts-aware PMU. */
+/**
+ * The FlexWatts-aware PMU. Its switch flow totals switches and
+ * overheads from construction on, so a simulator run that reports
+ * them (IntervalSimulator's PMU run) expects a freshly built Pmu.
+ */
 class Pmu
 {
   public:

@@ -1,7 +1,7 @@
 #include "sim/interval_simulator.hh"
 
 #include <algorithm>
-#include <map>
+#include <array>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -46,32 +46,44 @@ IntervalSimulator::stateFor(const TracePhase &phase) const
     q.tdp = _tdp;
     q.cstate = phase.cstate;
     q.type = phase.type;
-    // Canonical AR keeps unmemoized runs bit-identical to memoized
-    // ones (EteeMemo builds from the canonical form) for -0.0/NaN
-    // inputs.
+    // Canonical AR keeps the per-phase paths bit-identical to the
+    // PhaseSoA paths, whose unique states are keyed on the canonical
+    // form, for -0.0/NaN inputs.
     q.ar = canonicalActivityRatio(phase.ar);
     return _opm.build(q);
 }
 
-void
-IntervalSimulator::checkMemo(const EteeMemo *memo) const
+std::vector<EteeResult>
+IntervalSimulator::evaluateUnique(const PhaseSoA &soa,
+                                  const PdnModel &pdn) const
 {
-    if (memo && (&memo->opm() != &_opm || memo->tdp() != _tdp))
-        panic("IntervalSimulator: EteeMemo built for a different "
-              "(operating-point model, TDP) pair");
+    const std::vector<TracePhase> &unique = soa.uniquePhases();
+    std::vector<EteeResult> etee(unique.size());
+    for (size_t u = 0; u < unique.size(); ++u)
+        etee[u] = pdn.evaluate(stateFor(unique[u]));
+    return etee;
+}
+
+std::vector<ModeEvaluation>
+IntervalSimulator::evaluateUniqueBest(const PhaseSoA &soa,
+                                      const FlexWattsPdn &pdn) const
+{
+    const std::vector<TracePhase> &unique = soa.uniquePhases();
+    std::vector<ModeEvaluation> best(unique.size());
+    for (size_t u = 0; u < unique.size(); ++u)
+        best[u] = pdn.evaluateBest(stateFor(unique[u]));
+    return best;
 }
 
 SimResult
 IntervalSimulator::run(const PhaseTrace &trace, const PdnModel &pdn,
-                       EteeMemo *memo, SignalProbe *probe) const
+                       SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsStatic);
     SimResult result;
     for (size_t p = 0; p < trace.phases().size(); ++p) {
         const TracePhase &phase = trace.phases()[p];
-        EteeResult e = memo ? memo->evaluate(pdn, phase)
-                            : pdn.evaluate(stateFor(phase));
+        EteeResult e = pdn.evaluate(stateFor(phase));
         if (probe)
             probePhase(probe, p, result.duration, phase.duration, e,
                        -1);
@@ -84,23 +96,15 @@ IntervalSimulator::run(const PhaseTrace &trace, const PdnModel &pdn,
 
 SimResult
 IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
-                       EteeMemo *memo, SignalProbe *probe) const
+                       SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsStatic);
 
     // One pass of operating-point + ETEE math over the unique
-    // states (first-appearance order — exactly the order the
-    // phase-by-phase loop would first evaluate them in, so a shared
-    // memo ends up with identical contents).
-    const std::vector<TracePhase> &unique = soa.uniquePhases();
-    std::vector<EteeResult> etee(unique.size());
-    for (size_t u = 0; u < unique.size(); ++u)
-        etee[u] = memo ? memo->evaluate(pdn, unique[u])
-                       : pdn.evaluate(stateFor(unique[u]));
-
-    // Dense accumulation over the per-phase arrays: the same
-    // additions in the same order as the phase-by-phase loop.
+    // states, then dense accumulation over the per-phase arrays:
+    // the same additions in the same order as the phase-by-phase
+    // loop.
+    std::vector<EteeResult> etee = evaluateUnique(soa, pdn);
     SimResult result;
     const std::vector<Time> &durations = soa.durations();
     const std::vector<uint32_t> &index = soa.uniqueIndex();
@@ -119,30 +123,21 @@ IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
 SimResult
 IntervalSimulator::runOracle(const PhaseTrace &trace,
                              const FlexWattsPdn &pdn,
-                             EteeMemo *memo, SignalProbe *probe) const
+                             SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsOracle);
     SimResult result;
     for (size_t p = 0; p < trace.phases().size(); ++p) {
         const TracePhase &phase = trace.phases()[p];
-        HybridMode mode;
-        EteeResult e;
-        if (memo) {
-            mode = memo->bestMode(pdn, phase);
-            e = memo->evaluate(pdn, phase, mode);
-        } else {
-            PlatformState s = stateFor(phase);
-            mode = pdn.bestMode(s);
-            e = pdn.evaluate(s, mode);
-        }
+        ModeEvaluation best = pdn.evaluateBest(stateFor(phase));
         if (probe)
-            probePhase(probe, p, result.duration, phase.duration, e,
-                       static_cast<int>(mode));
+            probePhase(probe, p, result.duration, phase.duration,
+                       best.etee, static_cast<int>(best.mode));
         result.duration += phase.duration;
-        result.supplyEnergy += e.inputPower * phase.duration;
-        result.nominalEnergy += e.nominalPower * phase.duration;
-        result.modeResidency[static_cast<size_t>(mode)] +=
+        result.supplyEnergy += best.etee.inputPower * phase.duration;
+        result.nominalEnergy +=
+            best.etee.nominalPower * phase.duration;
+        result.modeResidency[static_cast<size_t>(best.mode)] +=
             phase.duration;
     }
     return result;
@@ -151,37 +146,23 @@ IntervalSimulator::runOracle(const PhaseTrace &trace,
 SimResult
 IntervalSimulator::runOracle(const PhaseSoA &soa,
                              const FlexWattsPdn &pdn,
-                             EteeMemo *memo, SignalProbe *probe) const
+                             SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsOracle);
 
-    const std::vector<TracePhase> &unique = soa.uniquePhases();
-    std::vector<HybridMode> modes(unique.size());
-    std::vector<EteeResult> etee(unique.size());
-    for (size_t u = 0; u < unique.size(); ++u) {
-        if (memo) {
-            modes[u] = memo->bestMode(pdn, unique[u]);
-            etee[u] = memo->evaluate(pdn, unique[u], modes[u]);
-        } else {
-            PlatformState s = stateFor(unique[u]);
-            modes[u] = pdn.bestMode(s);
-            etee[u] = pdn.evaluate(s, modes[u]);
-        }
-    }
-
+    std::vector<ModeEvaluation> best = evaluateUniqueBest(soa, pdn);
     SimResult result;
     const std::vector<Time> &durations = soa.durations();
     const std::vector<uint32_t> &index = soa.uniqueIndex();
     for (size_t p = 0; p < durations.size(); ++p) {
-        const EteeResult &e = etee[index[p]];
+        const ModeEvaluation &b = best[index[p]];
         if (probe)
-            probePhase(probe, p, result.duration, durations[p], e,
-                       static_cast<int>(modes[index[p]]));
+            probePhase(probe, p, result.duration, durations[p],
+                       b.etee, static_cast<int>(b.mode));
         result.duration += durations[p];
-        result.supplyEnergy += e.inputPower * durations[p];
-        result.nominalEnergy += e.nominalPower * durations[p];
-        result.modeResidency[static_cast<size_t>(modes[index[p]])] +=
+        result.supplyEnergy += b.etee.inputPower * durations[p];
+        result.nominalEnergy += b.etee.nominalPower * durations[p];
+        result.modeResidency[static_cast<size_t>(b.mode)] +=
             durations[p];
     }
     return result;
@@ -189,10 +170,8 @@ IntervalSimulator::runOracle(const PhaseSoA &soa,
 
 SimResult
 IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
-                       Pmu &pmu, EteeMemo *memo,
-                       SignalProbe *probe) const
+                       Pmu &pmu, SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsPmu);
     SimResult result;
 
@@ -216,23 +195,17 @@ IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
 
     // Per-(phase, mode) evaluation cache: the platform state is
     // constant within a phase, so only 2 evaluations per phase are
-    // ever needed regardless of tick resolution. A supplied EteeMemo
-    // subsumes it (and additionally shares evaluations across
-    // repeated phases and traces).
+    // ever needed regardless of tick resolution.
     struct PhaseEval
     {
         PlatformState state;
         std::array<bool, 2> valid{};
         std::array<EteeResult, 2> etee;
     };
-    std::vector<PhaseEval> cache(
-        memo ? 0 : trace.phases().size());
+    std::vector<PhaseEval> cache(trace.phases().size());
 
     auto evaluate = [&](size_t phase_idx, HybridMode mode)
         -> const EteeResult & {
-        if (memo)
-            return memo->evaluate(pdn, trace.phases()[phase_idx],
-                                  mode);
         PhaseEval &pe = cache[phase_idx];
         size_t m = static_cast<size_t>(mode);
         if (!pe.valid[m]) {
@@ -245,7 +218,6 @@ IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
     };
 
     Time now;
-    uint64_t switches_before = 0;
     for (pi = 0; pi < trace.phases().size(); ++pi) {
         const TracePhase &phase = trace.phases()[pi];
         Time phase_start = now;
@@ -322,8 +294,7 @@ IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
         pmu.setSwitchObserver({});
 
     result.duration = now;
-    result.modeSwitches = pmu.switchFlow().switchCount() -
-                          switches_before;
+    result.modeSwitches = pmu.switchFlow().switchCount();
     result.switchOverheadTime = pmu.switchFlow().totalOverheadTime();
     result.switchOverheadEnergy =
         pmu.switchFlow().totalOverheadEnergy();

@@ -16,7 +16,6 @@
 
 #include "campaign/campaign_engine.hh"
 #include "common/logging.hh"
-#include "sim/etee_memo.hh"
 #include "sim/interval_simulator.hh"
 #include "workload/trace_generator.hh"
 #include "workload/trace_io.hh"
@@ -347,17 +346,6 @@ TEST(CampaignEngineTest, LazyResolutionIsDeterministicAcrossThreads)
     }
 }
 
-TEST(CampaignEngineTest, DeclarativeTracesMemoizeBitIdentically)
-{
-    CampaignSpec spec = declarativeSpec(SimMode::Oracle);
-    ParallelRunner runner(4);
-    CampaignResult with =
-        CampaignEngine(runner).memoize(true).run(spec);
-    CampaignResult without =
-        CampaignEngine(runner).memoize(false).run(spec);
-    EXPECT_EQ(with, without);
-}
-
 TEST(CampaignEngineTest, ShardConcatenationMatchesUnshardedRun)
 {
     CampaignSpec spec = declarativeSpec(SimMode::Pmu);
@@ -463,84 +451,50 @@ TEST(CampaignEngineTest, SinkExceptionAbortsTheCampaign)
     EXPECT_LE(sink.delivered, 2u);
 }
 
-TEST(CampaignEngineTest, MemoizedRunsAreBitIdenticalToUnmemoized)
+TEST(CampaignEngineTest, EngineCellsMatchDirectSimulation)
 {
+    // The engine adds nothing to the simulator's numbers: every cell
+    // equals a direct per-trace IntervalSimulator call on a freshly
+    // built Platform (a fresh Pmu per PMU cell), at any thread count.
     for (SimMode mode :
-         {SimMode::Static, SimMode::Pmu, SimMode::Oracle}) {
-        CampaignSpec spec = smallSpec(mode);
-        for (unsigned threads : {1u, 4u}) {
+         {SimMode::Static, SimMode::Oracle, SimMode::Pmu}) {
+        CampaignSpec spec = declarativeSpec(mode);
+        std::vector<SimResult> direct;
+        for (const PlatformConfig &config : spec.platforms) {
+            Platform platform(config);
+            for (const TraceSpec &traceSpec : spec.traces) {
+                PhaseTrace trace = traceSpec.resolve();
+                IntervalSimulator sim(
+                    platform.operatingPoints(), config.tdp,
+                    traceSpec.tickOverride().value_or(spec.tick));
+                for (PdnKind kind : spec.pdns) {
+                    if (kind != PdnKind::FlexWatts ||
+                        mode == SimMode::Static) {
+                        direct.push_back(
+                            sim.run(trace, platform.pdn(kind)));
+                    } else if (mode == SimMode::Oracle) {
+                        direct.push_back(
+                            sim.runOracle(trace, platform.flexWatts()));
+                    } else {
+                        PmuConfig cfg;
+                        cfg.tdp = config.tdp;
+                        Pmu pmu(cfg, platform.predictor());
+                        direct.push_back(
+                            sim.run(trace, platform.flexWatts(), pmu));
+                    }
+                }
+            }
+        }
+        for (unsigned threads : {1u, 3u}) {
             ParallelRunner runner(threads);
-            CampaignResult with =
-                CampaignEngine(runner).memoize(true).run(spec);
-            CampaignResult without =
-                CampaignEngine(runner).memoize(false).run(spec);
-            EXPECT_EQ(with, without)
-                << toString(mode) << " mode, " << threads
-                << " threads";
+            CampaignResult result = CampaignEngine(runner).run(spec);
+            ASSERT_EQ(result.cells.size(), direct.size());
+            for (size_t c = 0; c < direct.size(); ++c)
+                EXPECT_EQ(result.cells[c].sim, direct[c])
+                    << toString(mode) << " mode, " << threads
+                    << " threads, cell " << c;
         }
     }
-}
-
-TEST(EteeMemoTest, SharesEvaluationsAcrossRepeatedPhases)
-{
-    // 16 battery-profile frames cycle through the same few states;
-    // the memo must collapse them to one evaluation each.
-    Platform platform(ultraportablePreset());
-    PhaseTrace trace = traceFromBatteryProfile(
-        videoPlayback(), milliseconds(33.3), 16);
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp);
-
-    EteeMemo memo(platform.operatingPoints(),
-                  platform.config().tdp);
-    SimResult memoized =
-        sim.run(trace, platform.pdn(PdnKind::IVR), &memo);
-    SimResult plain = sim.run(trace, platform.pdn(PdnKind::IVR));
-
-    EXPECT_EQ(memoized, plain);
-    EXPECT_GT(memo.hits(), 0u);
-    EXPECT_LT(memo.pdnEvaluations(), trace.phases().size() / 4);
-
-    // A second PDN kind reuses the memoized platform states.
-    size_t builds = memo.stateBuilds();
-    SimResult ldoMemoized =
-        sim.run(trace, platform.pdn(PdnKind::LDO), &memo);
-    EXPECT_EQ(ldoMemoized,
-              sim.run(trace, platform.pdn(PdnKind::LDO)));
-    EXPECT_EQ(memo.stateBuilds(), builds);
-}
-
-TEST(EteeMemoTest, OracleAndPinnedModesMemoizeIndependently)
-{
-    Platform platform(fanlessTabletPreset());
-    TraceGenerator gen(5);
-    PhaseTrace trace =
-        gen.burstyCompute(4, milliseconds(5.0), milliseconds(15.0));
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp);
-
-    EteeMemo memo(platform.operatingPoints(),
-                  platform.config().tdp);
-    EXPECT_EQ(sim.runOracle(trace, platform.flexWatts(), &memo),
-              sim.runOracle(trace, platform.flexWatts()));
-
-    // FlexWatts default evaluation (static mode) must not collide
-    // with the pinned-mode entries the oracle run created.
-    EXPECT_EQ(sim.run(trace, platform.flexWatts(), &memo),
-              sim.run(trace, platform.flexWatts()));
-}
-
-TEST(EteeMemoTest, RejectsMismatchedSimulator)
-{
-    Platform platform(ultraportablePreset());
-    TraceGenerator gen(5);
-    PhaseTrace trace =
-        gen.burstyCompute(2, milliseconds(5.0), milliseconds(5.0));
-    EteeMemo memo(platform.operatingPoints(), watts(4.0));
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp);
-    EXPECT_THROW(sim.run(trace, platform.pdn(PdnKind::IVR), &memo),
-                 ModelError);
 }
 
 TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
@@ -568,20 +522,8 @@ TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
     }
     EXPECT_EQ(serial.cells, spec.cellCount());
     EXPECT_EQ(serial.phases, phaseTotal);
-    EXPECT_GT(serial.memoProbes, 0u);
-    EXPECT_GT(serial.memoHits, 0u);
-    EXPECT_EQ(serial.memoProbes,
-              serial.memoHits + serial.memoMisses());
-    EXPECT_GT(serial.stateBuilds, 0u);
-    EXPECT_GT(serial.pdnEvaluations, 0u);
-    EXPECT_GT(serial.memoHitRate(), 0.0);
-    EXPECT_LT(serial.memoHitRate(), 1.0);
 
-    // Threaded runs keep one memo per worker, so hit totals may
-    // differ from serial (each worker pays its own first
-    // encounters) — but the work counters and the structural
-    // invariants must hold at any thread count, and a worker can
-    // never build fewer states than the single serial memo did.
+    // The work counters hold at any thread count.
     for (unsigned threads : {2u, 8u}) {
         ParallelRunner runner(threads);
         CountingSink sink;
@@ -589,25 +531,7 @@ TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
         CampaignEngine(runner).run(spec, sink, &stats);
         EXPECT_EQ(stats.cells, serial.cells) << threads;
         EXPECT_EQ(stats.phases, serial.phases) << threads;
-        EXPECT_EQ(stats.memoProbes,
-                  stats.memoHits + stats.memoMisses())
-            << threads;
-        EXPECT_GE(stats.stateBuilds, serial.stateBuilds) << threads;
-        EXPECT_GE(stats.pdnEvaluations, serial.pdnEvaluations)
-            << threads;
     }
-
-    // Memo off: the run happens, the memo counters stay zero.
-    ParallelRunner runner(1);
-    CountingSink sink;
-    CampaignRunStats unmemoized;
-    CampaignEngine(runner).memoize(false).run(spec, sink,
-                                              &unmemoized);
-    EXPECT_EQ(unmemoized.cells, spec.cellCount());
-    EXPECT_EQ(unmemoized.phases, phaseTotal);
-    EXPECT_EQ(unmemoized.memoProbes, 0u);
-    EXPECT_EQ(unmemoized.memoHits, 0u);
-    EXPECT_EQ(unmemoized.memoHitRate(), 0.0);
 }
 
 TEST(CampaignEngineTest, RunnerThreadsGaugeReadsTheEngineRunnerWidth)

@@ -4,6 +4,8 @@
  * firmware tables, the mode predictor, and the switch flow.
  */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -21,6 +23,14 @@ namespace pdnspot
 {
 namespace
 {
+
+/** Bitwise equality of two evaluations (all-double fields, no
+ * padding), stricter than comparing them numerically. */
+bool
+sameBits(const EteeResult &a, const EteeResult &b)
+{
+    return std::memcmp(&a, &b, sizeof(EteeResult)) == 0;
+}
 
 class FlexWattsTest : public ::testing::Test
 {
@@ -210,8 +220,15 @@ TEST_F(FlexWattsTest, PredictorImplementsAlgorithm1)
                 in.tdp = watts(tdp);
                 in.ar = ar;
                 in.workloadType = type;
-                EXPECT_EQ(predictor.predict(in),
-                          fw.bestMode(state(tdp, type, ar)))
+                PlatformState s = state(tdp, type, ar);
+                EXPECT_EQ(predictor.predict(in), fw.bestMode(s))
+                    << tdp << " " << toString(type) << " " << ar;
+                // The best-mode pair agrees with bestMode and with
+                // the pinned evaluation of its mode, bit for bit.
+                ModeEvaluation best = fw.evaluateBest(s);
+                EXPECT_EQ(best.mode, fw.bestMode(s));
+                EXPECT_TRUE(
+                    sameBits(best.etee, fw.evaluate(s, best.mode)))
                     << tdp << " " << toString(type) << " " << ar;
             }
         }

@@ -2,8 +2,8 @@
  * @file
  * PhaseSoA tests: trace -> structure-of-arrays resolution (dedup
  * counts, order preservation), signed-zero/NaN canonicalization of
- * the dedup key, bit-identical batched simulation against the
- * phase-by-phase path, and the EteeMemo zero-AR keying regression.
+ * the dedup key, and bit-identical batched simulation against the
+ * phase-by-phase path.
  */
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "pdnspot/platform.hh"
-#include "sim/etee_memo.hh"
 #include "sim/interval_simulator.hh"
 #include "workload/phase_soa.hh"
 #include "workload/trace_generator.hh"
@@ -115,53 +114,11 @@ TEST(PhaseSoATest, BatchedRunsMatchPerPhaseRunsBitIdentically)
         const PdnModel &pdn = platform.pdn(kind);
         EXPECT_EQ(sim.run(soa, pdn), sim.run(trace, pdn))
             << toString(kind);
-
-        EteeMemo memo(platform.operatingPoints(),
-                      platform.config().tdp);
-        EXPECT_EQ(sim.run(soa, pdn, &memo), sim.run(trace, pdn))
-            << toString(kind) << " (memoized)";
     }
 
     // Oracle path: pinned-mode evaluation plus mode residency.
     EXPECT_EQ(sim.runOracle(soa, platform.flexWatts()),
               sim.runOracle(trace, platform.flexWatts()));
-    EteeMemo memo(platform.operatingPoints(),
-                  platform.config().tdp);
-    EXPECT_EQ(sim.runOracle(soa, platform.flexWatts(), &memo),
-              sim.runOracle(trace, platform.flexWatts()));
-}
-
-TEST(EteeMemoTest, SignedZeroArSharesOneMemoEntry)
-{
-    // Regression: StateKey once held the raw double, so a -0.0 and a
-    // +0.0 phase compared equal and the stored state kept whichever
-    // arrived first — contents (and the stats) depended on
-    // evaluation order. The bit-cast canonical key makes the pair
-    // one entry with one state build.
-    Platform platform(ultraportablePreset());
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp);
-    TracePhase zero{milliseconds(2.0), PackageCState::C8,
-                    WorkloadType::MultiThread, 0.0};
-    TracePhase negZero = zero;
-    negZero.ar = -0.0;
-
-    for (auto phases :
-         {std::vector<TracePhase>{zero, negZero},
-          std::vector<TracePhase>{negZero, zero}}) {
-        PhaseTrace trace("zero-ar", phases);
-        EteeMemo memo(platform.operatingPoints(),
-                      platform.config().tdp);
-        SimResult memoized =
-            sim.run(trace, platform.pdn(PdnKind::IVR), &memo);
-        EXPECT_EQ(memoized,
-                  sim.run(trace, platform.pdn(PdnKind::IVR)));
-        // One logical state: the second phase is a pure hit.
-        EXPECT_EQ(memo.stateBuilds(), 1u);
-        EXPECT_EQ(memo.pdnEvaluations(), 1u);
-        EXPECT_GT(memo.hits(), 0u);
-        EXPECT_EQ(memo.probes(), memo.hits() + memo.misses());
-    }
 }
 
 } // anonymous namespace
