@@ -69,8 +69,7 @@ eteeTableSerial(benchmark::State &state)
     const Platform &pf = bench::platform();
     ParallelRunner serial(1);
     for (auto _ : state) {
-        EteeTable table(pf.flexWatts(), pf.operatingPoints(),
-                        EteeTable::GridSpec(), serial);
+        EteeTable table(pf.flexWatts(), pf.operatingPoints(), serial);
         benchmark::DoNotOptimize(table);
     }
 }
@@ -81,8 +80,7 @@ eteeTableParallel(benchmark::State &state)
     const Platform &pf = bench::platform();
     ParallelRunner pool(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
-        EteeTable table(pf.flexWatts(), pf.operatingPoints(),
-                        EteeTable::GridSpec(), pool);
+        EteeTable table(pf.flexWatts(), pf.operatingPoints(), pool);
         benchmark::DoNotOptimize(table);
     }
 }

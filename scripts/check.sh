@@ -4,11 +4,12 @@
 # benchmark's self-test (perfbench/run.py --selftest), snapshot +
 # diff the benchmark trajectory (scripts/bench.sh), then repeat the
 # test suite under AddressSanitizer + UBSan (the threaded
-# campaign/sweep paths are sanitizer-gated). This is the tier-1
-# gate (ROADMAP.md) and is ready to drop into CI as-is.
+# campaign/sweep paths are sanitizer-gated) and the threaded suites
+# under ThreadSanitizer. This is the tier-1 gate (ROADMAP.md) and is
+# ready to drop into CI as-is.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check; the
-# sanitizer pass uses <build-dir>-asan)
+# sanitizer passes use <build-dir>-asan and <build-dir>-tsan)
 
 set -euo pipefail
 
@@ -45,8 +46,8 @@ echo "check.sh: pdnspot_campaign spec-file smoke green"
 
 # Trace-source smoke: the measured-workload spec exercises all four
 # TraceSpec kinds (library, generator, battery profile, file-backed
-# CSV). Lazy per-worker resolution must be byte-identical serial vs
-# 8 threads.
+# CSV). The once-per-run trace table must give byte-identical CSVs
+# serial vs 8 threads.
 PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
     examples/specs/measured_campaign.json -o "$smoke_dir/meas1.csv"
 PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
@@ -204,4 +205,24 @@ cmake --build "$asan_dir" -j "$(nproc)"
 
 ctest --test-dir "$asan_dir" -j "$(nproc)" --output-on-failure
 
-echo "check.sh: build, tests and sanitizer pass green"
+# Third pass: ThreadSanitizer over the suites that share state across
+# pool workers — the runner itself, the campaign engine's shared
+# Platform and trace tables, the fleet engine and the metrics/span
+# thread-local merge. Any race report fails the script.
+tsan_dir="${build_dir}-tsan"
+
+cmake -B "$tsan_dir" -S . "${generator[@]}" \
+    -DPDNSPOT_WARNINGS=ON \
+    -DPDNSPOT_WERROR=ON \
+    -DPDNSPOT_BUILD_BENCH=OFF \
+    -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+
+tsan_tests=(test_parallel test_campaign test_fleet test_obs)
+cmake --build "$tsan_dir" -j "$(nproc)" --target "${tsan_tests[@]}"
+
+for t in "${tsan_tests[@]}"; do
+    TSAN_OPTIONS=halt_on_error=1 "$tsan_dir/tests/$t"
+done
+
+echo "check.sh: build, tests and sanitizer passes green"

@@ -1,7 +1,6 @@
 #include "campaign/campaign_engine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -22,39 +21,6 @@ namespace
 {
 
 /**
- * One worker thread's current Platform. Campaign runs are stamped
- * with a process-unique id so a slot left over from an earlier
- * campaign (worker threads outlive runs) is never mistaken for this
- * run's platform. At most one Platform is retained per worker; it is
- * replaced on the next rebuild and reclaimed at thread exit.
- */
-struct ThreadPlatformSlot
-{
-    uint64_t runId = 0;
-    size_t configIdx = 0;
-    std::unique_ptr<Platform> platform;
-};
-
-const Platform &
-threadSlot(uint64_t run_id, const CampaignSpec &spec,
-           size_t config_idx, const ParallelRunner &runner)
-{
-    thread_local ThreadPlatformSlot slot;
-    if (!slot.platform || slot.runId != run_id ||
-        slot.configIdx != config_idx) {
-        {
-            SpanScope span("campaign.platform_build", "campaign");
-            slot.platform = std::make_unique<Platform>(
-                spec.platforms[config_idx], runner);
-        }
-        metricAdd(Metric::CampaignPlatformBuilds);
-        slot.runId = run_id;
-        slot.configIdx = config_idx;
-    }
-    return *slot.platform;
-}
-
-/**
  * A trace materialized for simulation: the phase-by-phase form (the
  * PMU path steps it) plus its batch-evaluation SoA form (every other
  * path). Both derive deterministically from the TraceSpec.
@@ -68,37 +34,6 @@ struct ResolvedTrace
         : trace(std::move(t)), soa(trace)
     {}
 };
-
-/**
- * One worker thread's lazily-resolved traces for the current run.
- * TraceSpec resolution (library rebuilds, generator runs, trace-file
- * reads) happens at most once per trace per worker; the cache is
- * invalidated by run id exactly like ThreadPlatformSlot. Resolution
- * is deterministic, so worker-private copies cannot perturb results.
- */
-struct ThreadTraceCache
-{
-    uint64_t runId = 0;
-    std::vector<std::unique_ptr<const ResolvedTrace>> traces;
-};
-
-const ResolvedTrace &
-resolvedTrace(uint64_t run_id, const CampaignSpec &spec,
-              size_t trace_idx)
-{
-    thread_local ThreadTraceCache cache;
-    if (cache.runId != run_id) {
-        cache.traces.clear();
-        cache.traces.resize(spec.traces.size());
-        cache.runId = run_id;
-    }
-    std::unique_ptr<const ResolvedTrace> &slot =
-        cache.traces[trace_idx];
-    if (!slot)
-        slot = std::make_unique<const ResolvedTrace>(
-            spec.traces[trace_idx].resolve());
-    return *slot;
-}
 
 SimResult
 simulateCell(const Platform &platform, const ResolvedTrace &rt,
@@ -188,9 +123,6 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
     size_t cellsPerPlatform = spec.traces.size() * nPdns;
     size_t n = endCell - firstCell;
 
-    static std::atomic<uint64_t> runCounter{0};
-    uint64_t runId = ++runCounter;
-
     // Execution statistics flow through the metrics registry. When
     // the caller wants stats and no registry is installed (the
     // common library-use case), install a run-private one; when one
@@ -211,13 +143,50 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
     if (stats)
         baseline = campaignStatsSnapshot(*registry);
 
-    // Platform-major flattening keeps each worker's platform axis
-    // non-decreasing under monotonic range claims, bounding Platform
-    // rebuilds. Each completed chunk lands in `pending` as a shard
-    // keyed by its begin index; the flush cursor drains the
-    // contiguous prefix into the sink, so delivery order depends
-    // only on (n, grain) — never on scheduling — and a shard's
-    // memory is reclaimed as soon as every earlier cell is done.
+    // Build every Platform and resolve every trace the cell range
+    // touches once, before the cell fan-out, into tables indexed by
+    // spec position that every worker reads. One fan-out covers
+    // both; a Platform's nested ETEE characterization on _runner
+    // then runs inline on its worker (see ParallelRunner::forEach).
+    // A range of at least one platform block touches every trace.
+    std::vector<std::unique_ptr<const Platform>> platforms(
+        spec.platforms.size());
+    std::vector<std::unique_ptr<const ResolvedTrace>> traces(
+        spec.traces.size());
+    // Build job ids: platform p is p, trace t is platforms.size() + t.
+    std::vector<size_t> builds;
+    if (n > 0) {
+        for (size_t p = firstCell / cellsPerPlatform;
+             p <= (endCell - 1) / cellsPerPlatform; ++p)
+            builds.push_back(p);
+        std::vector<bool> touched(traces.size());
+        for (size_t cell = firstCell;
+             cell < firstCell + std::min(n, cellsPerPlatform); ++cell)
+            touched[cell % cellsPerPlatform / nPdns] = true;
+        for (size_t t = 0; t < touched.size(); ++t)
+            if (touched[t])
+                builds.push_back(platforms.size() + t);
+    }
+    _runner.forEach(builds.size(), [&](size_t j) {
+        size_t idx = builds[j];
+        if (idx < platforms.size()) {
+            SpanScope span("campaign.platform_build", "campaign");
+            platforms[idx] = std::make_unique<const Platform>(
+                spec.platforms[idx], _runner);
+            metricAdd(Metric::CampaignPlatformBuilds);
+        } else {
+            size_t t = idx - platforms.size();
+            traces[t] = std::make_unique<const ResolvedTrace>(
+                spec.traces[t].resolve());
+        }
+    });
+
+    // Cells are flattened platform-major (the CSV order). Each
+    // completed chunk lands in `pending` as a shard keyed by its
+    // begin index; the flush cursor drains the contiguous prefix
+    // into the sink, so delivery order depends only on (n, grain) —
+    // never on scheduling — and a shard's memory is reclaimed as
+    // soon as every earlier cell is done.
     //
     // Backpressure: a worker whose shard is not next in line waits
     // while `pending` is full instead of parking it, so one slow
@@ -272,10 +241,8 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                     size_t traceIdx = rest / nPdns;
                     const TraceSpec &traceSpec =
                         spec.traces[traceIdx];
-                    const Platform &platform =
-                        threadSlot(runId, spec, p, _runner);
-                    const ResolvedTrace &rt =
-                        resolvedTrace(runId, spec, traceIdx);
+                    const Platform &platform = *platforms[p];
+                    const ResolvedTrace &rt = *traces[traceIdx];
                     CampaignCellResult c;
                     c.trace = traceSpec.name();
                     c.platform = spec.platforms[p].name;

@@ -4,28 +4,23 @@
  * cross-product across the ParallelRunner thread pool.
  *
  * Cells are flattened platform-major and claimed in chunked ranges
- * (ParallelRunner::forEachChunked). Each worker lazily constructs a
- * private Platform for the config it is currently simulating —
+ * (ParallelRunner::forEachChunked). Before the cells fan out, the
+ * engine builds each Platform config its cell range touches once —
  * Platform construction (ETEE characterization) is the expensive
- * step. It runs on the engine's runner, never on the global pool,
- * so a serial engine does all of its work on one thread (a build on
- * a pool worker falls back to an inline serial loop, see
- * ParallelRunner::forEach). The monotonic range claims mean each
- * worker sees the platform axis in non-decreasing order, so it
- * rebuilds at most once per platform config per campaign. Trace
- * specs resolve lazily too:
- * each worker materializes a TraceSpec the first time one of its
- * cells needs it and caches the PhaseTrace — together with its
- * batch-evaluation PhaseSoA form (workload/phase_soa.hh) — for the
- * rest of the run. Non-PMU cells simulate through the batched
+ * step — and resolves each TraceSpec those cells name once, together
+ * with its batch-evaluation PhaseSoA form (workload/phase_soa.hh).
+ * Both tables are immutable and shared by every worker. The builds
+ * fan out on the engine's runner, never on the global pool, so a
+ * serial engine does all of its work on one thread. A build or
+ * resolve error (a missing trace file, say) throws before any cell
+ * reaches the sink. Non-PMU cells simulate through the batched
  * IntervalSimulator overloads: unique states resolve once, then
  * energy accumulates over dense per-phase arrays.
  *
  * Determinism contract: every cell's SimResult depends only on its
  * (trace spec, platform config, pdn, mode, tick) inputs and lands at
  * its own index, so a CampaignResult is bit-identical to the serial
- * run at any thread count — TraceSpec::resolve() is deterministic,
- * so per-worker resolution cannot perturb results.
+ * run at any thread count.
  */
 
 #ifndef PDNSPOT_CAMPAIGN_CAMPAIGN_ENGINE_HH

@@ -555,7 +555,7 @@ traceSpecFromJson(const JsonValue &value, const std::string &traceDir)
     if (file) {
         // Load the file once now so a missing or invalid trace fails
         // at this spec value with the nested positional error; the
-        // engine still resolves lazily at run time.
+        // engine resolves it again at run time.
         try {
             spec.resolve();
         } catch (const ConfigError &e) {

@@ -5,6 +5,17 @@
 namespace pdnspot
 {
 
+namespace
+{
+
+/** Characterization grid (the paper's Fig. 4 axes). */
+const std::vector<double> gridTdpsW = {4.0,  8.0,  10.0, 18.0,
+                                       25.0, 36.0, 50.0};
+const std::vector<double> gridArs = {0.30, 0.40, 0.50, 0.60,
+                                     0.70, 0.80, 0.90};
+
+} // namespace
+
 size_t
 EteeTable::modeIndex(HybridMode m)
 {
@@ -12,17 +23,9 @@ EteeTable::modeIndex(HybridMode m)
 }
 
 EteeTable::EteeTable(const FlexWattsPdn &pdn,
-                     const OperatingPointModel &opm)
-    : EteeTable(pdn, opm, GridSpec())
-{}
-
-EteeTable::EteeTable(const FlexWattsPdn &pdn,
-                     const OperatingPointModel &opm, GridSpec grid,
+                     const OperatingPointModel &opm,
                      const ParallelRunner &runner)
 {
-    if (grid.tdpsW.empty() || grid.ars.empty())
-        fatal("EteeTable: empty characterization grid");
-
     // Active-state (C0) curves: one (TDP x AR) grid per mode and
     // workload type. Cells are independent, so each grid is sampled
     // in parallel with every cell stored at its own index.
@@ -30,20 +33,20 @@ EteeTable::EteeTable(const FlexWattsPdn &pdn,
         WorkloadType::SingleThread, WorkloadType::MultiThread,
         WorkloadType::Graphics,
     };
-    size_t na = grid.ars.size();
+    size_t na = gridArs.size();
     for (HybridMode mode : allHybridModes) {
         for (WorkloadType type : activeTypes) {
             std::vector<double> values = runner.map<double>(
-                grid.tdpsW.size() * na, [&](size_t cell) {
+                gridTdpsW.size() * na, [&](size_t cell) {
                     OperatingPointModel::Query q;
-                    q.tdp = watts(grid.tdpsW[cell / na]);
+                    q.tdp = watts(gridTdpsW[cell / na]);
                     q.type = type;
-                    q.ar = grid.ars[cell % na];
+                    q.ar = gridArs[cell % na];
                     return pdn.evaluate(opm.build(q), mode).etee();
                 });
             _active.emplace(
                 std::make_pair(modeIndex(mode), type),
-                BilinearGrid(grid.tdpsW, grid.ars,
+                BilinearGrid(gridTdpsW, gridArs,
                              std::move(values)));
         }
         // The battery-life type reuses the multi-thread curves when

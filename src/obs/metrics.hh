@@ -58,7 +58,8 @@ enum class Metric : size_t
     CampaignCells,          ///< counter: cells simulated
     CampaignChunks,         ///< counter: engine chunks completed
     CampaignPhases,         ///< counter: trace phases stepped
-    CampaignPlatformBuilds, ///< counter: worker Platform rebuilds
+    CampaignPlatformBuilds, ///< counter: Platform builds, one per
+                            ///< config the run touches
     CampaignCellMicros,     ///< histogram: per-cell simulation time
     TraceResolves,          ///< counter: TraceSpec::resolve calls
     TraceResolveMicros,     ///< histogram: per-resolve time

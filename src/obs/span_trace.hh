@@ -4,7 +4,7 @@
  * trace-event JSON export.
  *
  * Instrumented subsystems mark regions with SpanScope (chunk claims,
- * per-worker trace resolution, cell evaluation, platform builds);
+ * trace resolution, cell evaluation, platform builds);
  * each thread appends to its own preallocated bounded buffer, so the
  * hot path is two branch-guarded stores and never takes a lock. The
  * recorder serializes everything to the Chrome/Perfetto trace-event

@@ -21,8 +21,7 @@ Platform::Platform(PlatformConfig config,
     if (!_flexwatts)
         panic("Platform: FlexWatts factory returned the wrong type");
 
-    _eteeTable = std::make_unique<EteeTable>(
-        *_flexwatts, _opm, EteeTable::GridSpec{}, runner);
+    _eteeTable = std::make_unique<EteeTable>(*_flexwatts, _opm, runner);
     _predictor = std::make_unique<ModePredictor>(
         *_eteeTable, config.predictorHysteresis);
 }

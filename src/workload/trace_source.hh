@@ -10,8 +10,8 @@
  * an inline PhaseTrace for compatibility — and resolve() materializes
  * the PhaseTrace on demand. Resolution is a pure function of the
  * spec (plus, for file-backed traces, the file contents), so the
- * campaign engine can resolve lazily per worker thread and stay
- * bit-identical at any thread count.
+ * campaign engine resolves each trace once per run, on whichever
+ * worker, and stays bit-identical at any thread count.
  */
 
 #ifndef PDNSPOT_WORKLOAD_TRACE_SOURCE_HH

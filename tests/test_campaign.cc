@@ -42,6 +42,14 @@ smallSpec(SimMode mode)
     return spec;
 }
 
+/** Counts what reaches the sink; the cells go to the floor. */
+class CountingSink : public CampaignSink
+{
+  public:
+    void consume(CampaignCellResult) override { ++delivered; }
+    size_t delivered = 0;
+};
+
 TEST(CampaignSpecTest, ValidateRejectsEmptyAxes)
 {
     CampaignSpec spec = smallSpec(SimMode::Static);
@@ -100,8 +108,8 @@ TEST(CampaignSpecTest, SimModeNamesRoundTrip)
 /**
  * A spec exercising every TraceSpec provenance kind at once —
  * inline, library, generator, battery profile, and a trace file
- * written into the gtest temp dir — so lazy per-worker resolution
- * is covered end to end.
+ * written into the gtest temp dir — so the engine's once-per-run
+ * trace resolution is covered end to end.
  */
 CampaignSpec
 declarativeSpec(SimMode mode)
@@ -499,14 +507,6 @@ TEST(CampaignEngineTest, EngineCellsMatchDirectSimulation)
 
 TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
 {
-    /** Counts what reaches the sink; the cells go to the floor. */
-    class CountingSink : public CampaignSink
-    {
-      public:
-        void consume(CampaignCellResult) override { ++delivered; }
-        size_t delivered = 0;
-    };
-
     CampaignSpec spec = smallSpec(SimMode::Oracle);
     size_t phaseTotal = 0;
     for (const TraceSpec &t : spec.traces)
@@ -540,7 +540,9 @@ TEST(CampaignEngineTest, RunnerThreadsGaugeReadsTheEngineRunnerWidth)
     // engine's runner, not on ParallelRunner::global(). Two widths
     // make this independent of the host: the global pool cannot
     // match both 1 and 3, so a stray global-pool job shows up as a
-    // wrong gauge in at least one of the runs.
+    // wrong gauge in at least one of the runs. The same runs pin the
+    // work counters: each config builds once and each trace
+    // resolves once, however many workers simulate its cells.
     CampaignSpec spec = smallSpec(SimMode::Static);
     for (unsigned threads : {1u, 3u}) {
         MetricsRegistry registry;
@@ -554,6 +556,64 @@ TEST(CampaignEngineTest, RunnerThreadsGaugeReadsTheEngineRunnerWidth)
         EXPECT_EQ(gauge.value, static_cast<double>(threads))
             << "global pool width "
             << ParallelRunner::global().threadCount();
+        EXPECT_EQ(registry.counterValue(Metric::CampaignPlatformBuilds),
+                  spec.platforms.size())
+            << threads << " threads";
+        EXPECT_EQ(registry.counterValue(Metric::TraceResolves),
+                  spec.traces.size())
+            << threads << " threads";
+    }
+}
+
+TEST(CampaignEngineTest, CellRangeBuildsOnlyTheConfigsAndTracesItTouches)
+{
+    // smallSpec has 9 cells per platform (3 traces x 3 PDNs): [0, 3)
+    // is trace 0 of platform 0; [8, 10) is trace 2 of platform 0 and
+    // trace 0 of platform 1.
+    struct Range
+    {
+        size_t first, end, builds, resolves;
+    };
+    CampaignSpec spec = smallSpec(SimMode::Static);
+    for (Range r : {Range{0, 3, 1, 1}, Range{8, 10, 2, 2}}) {
+        for (unsigned threads : {1u, 3u}) {
+            MetricsRegistry registry;
+            CountingSink sink;
+            {
+                MetricsInstallation install(registry);
+                ParallelRunner runner(threads);
+                CampaignEngine(runner).run(spec, sink, r.first, r.end);
+            }
+            EXPECT_EQ(sink.delivered, r.end - r.first);
+            EXPECT_EQ(
+                registry.counterValue(Metric::CampaignPlatformBuilds),
+                r.builds)
+                << "[" << r.first << ", " << r.end << ") at "
+                << threads << " threads";
+            EXPECT_EQ(registry.counterValue(Metric::TraceResolves),
+                      r.resolves)
+                << "[" << r.first << ", " << r.end << ") at "
+                << threads << " threads";
+        }
+    }
+}
+
+TEST(CampaignEngineTest, TraceResolveErrorThrowsBeforeAnyCellStreams)
+{
+    // The missing file is the last trace, so a run that resolved
+    // traces as its cells reached them would stream the earlier
+    // traces' cells first.
+    CampaignSpec spec = smallSpec(SimMode::Static);
+    spec.traces.push_back(TraceSpec::file(
+        testing::TempDir() + "campaign_missing_" +
+        std::to_string(::getpid()) + ".csv"));
+    for (unsigned threads : {1u, 3u}) {
+        ParallelRunner runner(threads);
+        CountingSink sink;
+        EXPECT_THROW(CampaignEngine(runner).run(spec, sink),
+                     ConfigError)
+            << threads << " threads";
+        EXPECT_EQ(sink.delivered, 0u) << threads << " threads";
     }
 }
 

@@ -131,7 +131,7 @@ TEST_F(FlexWattsTest, VinSizedForIvrMode)
 
 TEST_F(FlexWattsTest, EteeTableMatchesDirectEvaluationOnGrid)
 {
-    EteeTable table(fw, opm);
+    EteeTable table(fw, opm, ParallelRunner::global());
     for (double tdp : {4.0, 18.0, 50.0}) {
         for (double ar : {0.4, 0.6, 0.8}) {
             for (HybridMode m : allHybridModes) {
@@ -151,7 +151,7 @@ TEST_F(FlexWattsTest, EteeTableMatchesDirectEvaluationOnGrid)
 
 TEST_F(FlexWattsTest, EteeTableInterpolatesBetweenGridPoints)
 {
-    EteeTable table(fw, opm);
+    EteeTable table(fw, opm, ParallelRunner::global());
     double mid = table.lookupActive(
         HybridMode::IvrMode, WorkloadType::MultiThread, watts(21.5),
         0.55);
@@ -167,7 +167,7 @@ TEST_F(FlexWattsTest, EteeTableInterpolatesBetweenGridPoints)
 
 TEST_F(FlexWattsTest, EteeTableCStateRows)
 {
-    EteeTable table(fw, opm);
+    EteeTable table(fw, opm, ParallelRunner::global());
     for (PackageCState cs : batteryLifeCStates) {
         double ivr_mode =
             table.lookupCState(HybridMode::IvrMode, cs);
@@ -184,8 +184,8 @@ TEST_F(FlexWattsTest, EteeTableBitIdenticalAcrossThreadCounts)
 {
     ParallelRunner serial(1);
     ParallelRunner pool(8);
-    EteeTable ref(fw, opm, EteeTable::GridSpec(), serial);
-    EteeTable par(fw, opm, EteeTable::GridSpec(), pool);
+    EteeTable ref(fw, opm, serial);
+    EteeTable par(fw, opm, pool);
 
     for (HybridMode mode : allHybridModes) {
         for (double tdp : {4.0, 11.0, 27.0, 50.0}) {
@@ -209,7 +209,7 @@ TEST_F(FlexWattsTest, PredictorImplementsAlgorithm1)
 {
     // Algorithm 1: pick the mode with the higher stored ETEE; the
     // prediction must agree with the oracle on grid points.
-    EteeTable table(fw, opm);
+    EteeTable table(fw, opm, ParallelRunner::global());
     ModePredictor predictor(table);
     for (double tdp : {4.0, 10.0, 18.0, 36.0, 50.0}) {
         for (WorkloadType type :
@@ -237,7 +237,7 @@ TEST_F(FlexWattsTest, PredictorImplementsAlgorithm1)
 
 TEST_F(FlexWattsTest, PredictorHysteresisSticksToCurrentMode)
 {
-    EteeTable table(fw, opm);
+    EteeTable table(fw, opm, ParallelRunner::global());
     // A huge margin should never advise a switch.
     ModePredictor sticky(table, 0.5);
     PredictorInputs in;
@@ -252,7 +252,7 @@ TEST_F(FlexWattsTest, PredictorHysteresisSticksToCurrentMode)
 
 TEST_F(FlexWattsTest, PredictorRejectsBadHysteresis)
 {
-    EteeTable table(fw, opm);
+    EteeTable table(fw, opm, ParallelRunner::global());
     EXPECT_THROW(ModePredictor(table, -0.1), ConfigError);
     EXPECT_THROW(ModePredictor(table, 1.0), ConfigError);
 }

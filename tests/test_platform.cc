@@ -109,7 +109,8 @@ TEST_F(PlatformTest, BatteryHelperRejectsBadProfiles)
 
 TEST_F(PlatformTest, EteeTableBakedIntoPlatformMatchesFreshTable)
 {
-    EteeTable fresh(platform.flexWatts(), platform.operatingPoints());
+    EteeTable fresh(platform.flexWatts(), platform.operatingPoints(),
+                    ParallelRunner::global());
     for (double tdp : {4.0, 50.0}) {
         for (HybridMode m : allHybridModes) {
             EXPECT_NEAR(platform.eteeTable().lookupActive(
